@@ -4,7 +4,7 @@ GO ?= go
 # exceeded so future PRs notice a regression.
 LINT_BUDGET_SECONDS ?= 60
 
-.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-checkpoint bench-telemetry bench-eventloop bench-lint bench-sweep san-test san-suite fuzz sweep-smoke
+.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-checkpoint bench-telemetry bench-eventloop bench-lint bench-sweep san-test san-suite fuzz sweep-smoke loc
 
 all: build lint test
 
@@ -134,3 +134,9 @@ bench-sweep:
 # runs this on every push.
 sweep-smoke:
 	./scripts/sweep_smoke.sh
+
+# Non-blank, non-comment, non-test Go lines for the simulator (with its
+# CLIs and examples) and for the lint stack: the size number the
+# roadmap tracks.
+loc:
+	./scripts/loc.sh

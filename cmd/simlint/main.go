@@ -1,6 +1,6 @@
 // Command simlint runs the simulator's invariant suite — detlint,
-// unitlint, contractlint, paramlint, errlint, statelint, sharelint,
-// sanlint, hotlint, purelint, locklint — over the repository. It is the
+// unitlint, contractlint, paramlint, errlint, statelint, sanlint,
+// hotlint, purelint, locklint — over the repository. It is the
 // project-specific complement to go vet: the analyzers encode contracts
 // (determinism, address-unit safety, concurrency documentation,
 // checkpoint completeness, sanitizer gating, hot-path allocation

@@ -18,8 +18,8 @@ type Env struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Degraded marks artefacts recorded on a host that cannot produce a
-	// meaningful parallel measurement (a single CPU: worker pools and
-	// parallel frontends only add scheduling overhead there). It is the
+	// meaningful parallel measurement (a single CPU: the cell-level
+	// worker pool only adds scheduling overhead there). It is the
 	// machine-readable form of the "re-record on a multi-core machine"
 	// prose note — consumers gate speedup assertions on it instead of
 	// parsing notes.

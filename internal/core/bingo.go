@@ -86,10 +86,8 @@ type Bingo struct {
 	//ckpt:skip construction parameter, re-supplied by New before restore
 	cfg Config
 	//ckpt:skip derived from cfg.RegionBytes in New
-	rc mem.RegionConfig
-	//conc:core-local each core owns its Bingo instance and its tables
+	rc      mem.RegionConfig
 	tracker *prefetch.RegionTracker
-	//conc:core-local each core owns its Bingo instance and its tables
 	history *HistoryTable
 	stats   Stats
 

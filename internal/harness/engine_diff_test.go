@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -101,6 +102,34 @@ func TestEngineDifferentialAllWorkloads(t *testing.T) {
 		for _, p := range []string{"none", "bingo"} {
 			lock, ev, _ := runBothEngines(t, w, p, opts)
 			requireIdentical(t, w.Name+"/"+p, lock, ev)
+		}
+	}
+}
+
+// TestEngineDifferentialManyCores extends the oracle past the Table I
+// machine: at 8 and 16 cores more cores contend for the shared LLC, DRAM
+// channels and translator, so the event engine's per-core deadlines
+// interleave in ways the 4-core cells never reach. The differential is
+// per-cycle exhaustive, so short windows at 16 cores prove as much about
+// ordering as long ones at 4.
+func TestEngineDifferentialManyCores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine differential matrix is slow")
+	}
+	defer san.SetEnabled(san.Compiled)
+	san.SetEnabled(san.Compiled)
+	for _, cores := range []int{8, 16} {
+		opts := oracleRunOptions()
+		opts.System = opts.System.WithCores(cores).Scaled(2_000, 20_000)
+		for _, wname := range []string{"em3d", "Zeus"} {
+			w, ok := workloads.ByName(wname)
+			if !ok {
+				t.Fatalf("workload %q not registered", wname)
+			}
+			for _, p := range []string{"none", "bingo"} {
+				lock, ev, _ := runBothEngines(t, w, p, opts)
+				requireIdentical(t, fmt.Sprintf("%s/%s cores=%d", w.Name, p, cores), lock, ev)
+			}
 		}
 	}
 }

@@ -15,13 +15,13 @@ import (
 func FuzzDirectiveParser(f *testing.F) {
 	for _, seed := range []string{
 		"//lint:ignore detlint map iteration is sorted first",
-		"//lint:file-ignore statelint,sharelint generated file",
+		"//lint:file-ignore statelint,hotlint generated file",
 		"//lint:ignore locklint",
 		"//hot:alloc reused buffer grows to steady-state capacity",
 		"//hot:path prefetch issue path",
 		"//obs:write checkpoint restore",
 		"//ckpt:skip derived cache",
-		"//conc:immutable after construction",
+		"//hot:path after construction",
 		"//go:build san",
 		"// ordinary prose with a colon: not a directive",
 		"//lint:ignore",

@@ -10,15 +10,16 @@
 //     fixed by writing the contract down, which is the point.)
 //
 //  2. Exported types whose struct carries a lock (sync.Mutex, RWMutex,
-//     WaitGroup, Once, sync.Map — directly or via an embedded value,
-//     including one imported from another package) must likewise document
-//     their concurrency contract.
+//     WaitGroup, Once, sync.Map, any sync/atomic type — directly or via
+//     an embedded value, including one imported from another package)
+//     must likewise document their concurrency contract.
 //
-// Whether a type carries a lock is answered by sharelint's LockFact,
-// imported across package boundaries, so a harness type that embeds a
-// mutex-bearing type from elsewhere in the module is caught too. The
-// by-value copy rule that used to live here moved to sharelint, which
-// applies it module-wide with the same fact.
+// Whether a type carries a lock is decided by walking its structure. The
+// loader type-checks every module package from source, so the walk sees
+// through named types from other packages too, and a harness type that
+// embeds a mutex-bearing type from elsewhere in the module is caught.
+// By-value copies of lock-bearing values are go vet's copylocks check,
+// which `make lint` and CI run alongside this suite.
 //
 // A doc comment "states a contract" when it mentions concurrency
 // vocabulary: "concurren*", "goroutine", "mutex", "lock", "immutable",
@@ -32,7 +33,6 @@ import (
 	"strings"
 
 	"bingo/internal/lint/analysis"
-	"bingo/internal/lint/sharelint"
 )
 
 // Analyzer enforces documented concurrency contracts in harness/system.
@@ -40,21 +40,21 @@ var Analyzer = &analysis.Analyzer{
 	Name: "contractlint",
 	Doc: "require documented concurrency contracts on exported mutable state in " +
 		"internal/harness and internal/system",
-	Requires: []*analysis.Analyzer{sharelint.Facts},
-	Run:      run,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	if !inScope(pass.Pkg.Path()) {
 		return nil
 	}
+	lb := lockBearing{}
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Package) {
 			continue // test files export no API to document
 		}
 		for _, decl := range f.Decls {
 			if decl, ok := decl.(*ast.GenDecl); ok {
-				checkGenDecl(pass, decl)
+				checkGenDecl(pass, lb, decl)
 			}
 		}
 	}
@@ -89,7 +89,7 @@ func statesContract(docs ...*ast.CommentGroup) bool {
 	return false
 }
 
-func checkGenDecl(pass *analysis.Pass, decl *ast.GenDecl) {
+func checkGenDecl(pass *analysis.Pass, lb lockBearing, decl *ast.GenDecl) {
 	for _, spec := range decl.Specs {
 		switch spec := spec.(type) {
 		case *ast.ValueSpec:
@@ -109,7 +109,7 @@ func checkGenDecl(pass *analysis.Pass, decl *ast.GenDecl) {
 				continue
 			}
 			obj, ok := pass.ObjectOf(spec.Name).(*types.TypeName)
-			if !ok || !sharelint.HoldsLock(pass, obj.Type()) {
+			if !ok || !lb.holds(obj.Type()) {
 				continue
 			}
 			if !statesContract(spec.Doc, decl.Doc) {
@@ -117,4 +117,49 @@ func checkGenDecl(pass *analysis.Pass, decl *ast.GenDecl) {
 			}
 		}
 	}
+}
+
+// syncNoCopyTypes are the sync types that must never be copied after
+// first use, per their package documentation.
+var syncNoCopyTypes = map[string]bool{
+	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true,
+	"Map": true, "Cond": true, "Pool": true,
+}
+
+// lockBearing memoizes whether a type transitively contains a sync
+// primitive by value; the same named types recur across declarations.
+type lockBearing map[types.Type]bool
+
+func (lb lockBearing) holds(t types.Type) bool {
+	if v, ok := lb[t]; ok {
+		return v
+	}
+	lb[t] = false // break recursive type cycles
+	v := lb.compute(t)
+	lb[t] = v
+	return v
+}
+
+func (lb lockBearing) compute(t types.Type) bool {
+	switch t := t.(type) {
+	case *types.Named:
+		if pkg := t.Obj().Pkg(); pkg != nil {
+			switch pkg.Path() {
+			case "sync":
+				return syncNoCopyTypes[t.Obj().Name()]
+			case "sync/atomic":
+				return true // every atomic.T pins its address after first use
+			}
+		}
+		return lb.holds(t.Underlying())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if lb.holds(t.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return lb.holds(t.Elem())
+	}
+	return false
 }

@@ -9,13 +9,17 @@ import (
 	"bingo/internal/lint/contractlint"
 )
 
+// TestContractlint runs the fixture with its dep subpackage, so a lock
+// embedded from another package must be found by the structural walk.
 func TestContractlint(t *testing.T) {
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(root, "internal", "lint", "testdata", "src", "contractlint")
-	diags := analysistest.Run(t, root, dir, "bingo/internal/harnessfixture", contractlint.Analyzer)
+	diags := analysistest.RunConfig(t, root, dir, "bingo/internal/harnessfixture", contractlint.Analyzer, analysistest.Config{
+		Deps: map[string]string{"bingo/internal/harnessfixture/dep": filepath.Join(dir, "dep")},
+	})
 	if len(diags) == 0 {
 		t.Fatal("fixture seeded violations but contractlint reported nothing")
 	}
@@ -34,6 +38,7 @@ func TestScopeIsHarnessAndSystemOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader.Override("bingo/internal/cachefixture", dir)
+	loader.Override("bingo/internal/harnessfixture/dep", filepath.Join(dir, "dep"))
 	pkg, err := loader.Load("bingo/internal/cachefixture")
 	if err != nil {
 		t.Fatal(err)

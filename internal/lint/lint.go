@@ -1,10 +1,10 @@
 // Package lint assembles simlint, the simulator's invariant suite:
 // project-specific analyzers on the cross-package mini go/analysis
 // framework in internal/lint/analysis. See the package docs of detlint,
-// errlint, unitlint, contractlint, paramlint, statelint, sharelint, and
-// sanlint for the invariant each one guards, DESIGN.md §10 for the
-// catalog, and README.md ("Static analysis & invariants") for the
-// suppression directives.
+// errlint, unitlint, contractlint, paramlint, statelint, sanlint,
+// hotlint, purelint and locklint for the invariant each one guards,
+// DESIGN.md §10 for the catalog, and README.md ("Static analysis &
+// invariants") for the suppression directives.
 package lint
 
 import (
@@ -23,14 +23,12 @@ import (
 	"bingo/internal/lint/paramlint"
 	"bingo/internal/lint/purelint"
 	"bingo/internal/lint/sanlint"
-	"bingo/internal/lint/sharelint"
 	"bingo/internal/lint/statelint"
 	"bingo/internal/lint/unitlint"
 )
 
 // Suite returns the full analyzer suite in stable (alphabetical) order.
-// Fact-producing prerequisites (sharelint's lock facts, the effects
-// summaries) are not listed — the scheduler pulls them in through
+// Fact-producing prerequisites (the effects summaries) are not listed — the scheduler pulls them in through
 // Requires.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -42,7 +40,6 @@ func Suite() []*analysis.Analyzer {
 		paramlint.Analyzer,
 		purelint.Analyzer,
 		sanlint.Analyzer,
-		sharelint.Analyzer,
 		statelint.Analyzer,
 		unitlint.Analyzer,
 	}

@@ -3,7 +3,11 @@
 // it lands inside the analyzer's package scope.
 package harnessfixture
 
-import "sync"
+import (
+	"sync"
+
+	"bingo/internal/harnessfixture/dep"
+)
 
 // Undocumented lists sweep points.
 var Undocumented = []int{1, 2, 3} // want `must state the concurrency contract`
@@ -27,6 +31,16 @@ type SafeCounters struct {
 	n  int
 }
 
+// Imported embeds a counter type from another package.
+type Imported struct { // want `holds a lock but its doc comment states no concurrency contract`
+	dep.Locked
+}
+
+// ImportedPlain embeds dep's plain type, which needs no contract.
+type ImportedPlain struct {
+	dep.Plain
+}
+
 // Inc is fine: pointer receiver.
 func (c *Counters) Inc() {
 	c.mu.Lock()
@@ -34,7 +48,7 @@ func (c *Counters) Inc() {
 	c.mu.Unlock()
 }
 
-// Snapshot copies the lock by value; that is sharelint's rule 3 now,
+// Snapshot copies the lock by value; that is go vet's copylocks check,
 // so contractlint stays quiet here.
 func (c Counters) Snapshot() int {
 	return c.n

@@ -19,12 +19,8 @@ type AccessEvent struct {
 
 // Prefetcher is the interface every prefetching algorithm implements.
 // Implementations are per-core (no metadata sharing between cores, as in
-// the paper). Each instance is driven from one goroutine at a time: the
-// driver goroutine in the serial frontend, or — when the system runs
-// with FrontendParallel and the prefetchers attach at L1 — the owning
-// core's worker goroutine. Instances never need internal locking; a
-// factory that shares one instance across cores forces the system back
-// to the serial frontend (see system.parallelOK).
+// the paper) and are driven from their System's single driver goroutine,
+// so they never need internal locking.
 type Prefetcher interface {
 	// Name identifies the algorithm and configuration.
 	Name() string

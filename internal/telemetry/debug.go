@@ -22,9 +22,8 @@ import (
 // indirects through this pointer; starting a new debug server swaps the
 // target.
 var (
-	debugReg   atomic.Pointer[Registry]
-	expvarOnce sync.Once
-	//conc:immutable assigned once at package init; only ever called through expvarOnce
+	debugReg     atomic.Pointer[Registry]
+	expvarOnce   sync.Once
 	expvarInstal = func() {
 		expvar.Publish("telemetry", expvar.Func(func() any {
 			if r := debugReg.Load(); r != nil {
@@ -41,8 +40,7 @@ type DebugServer struct {
 	Addr string
 
 	srv *http.Server
-	//conc:immutable set once by StartDebugServer; the listener is internally synchronized
-	ln net.Listener
+	ln  net.Listener
 }
 
 // StartDebugServer serves /debug/pprof/*, /debug/vars (expvar, with the

@@ -12,8 +12,6 @@ import (
 // gzip magic and decompress on the fly.
 
 // gzipMagic are the first two bytes of any gzip stream.
-//
-//conc:immutable written only by its initializer; a format constant that arrays keep out of const
 var gzipMagic = [2]byte{0x1f, 0x8b}
 
 // NewAutoReader opens a trace stream that may or may not be
@@ -44,9 +42,7 @@ func NewAutoReader(r io.Reader) (*Reader, io.Closer, error) {
 
 // GzipWriter wraps a Writer so records are gzip-compressed on the way out.
 type GzipWriter struct {
-	//conc:core-local a trace writer streams one core's records from one goroutine
 	*Writer
-	//conc:core-local owned by this writer; flushed and closed only through it
 	gz *gzip.Writer
 }
 

@@ -23,7 +23,6 @@ import (
 // The format is intentionally simple: fixed-width fields, no compression,
 // so records can be seeked and sliced by external tools.
 
-//conc:immutable written only by its initializer; a format constant that arrays keep out of const
 var traceMagic = [8]byte{'B', 'I', 'N', 'G', 'O', 'T', 'R', 'C'}
 
 const formatVersion = 1
@@ -32,15 +31,12 @@ const formatVersion = 1
 const recordWireSize = 8 + 8 + 1 + 4
 
 // ErrBadMagic reports a stream that is not a Bingo trace.
-//
-//conc:immutable sentinel error, assigned once at package init
 var ErrBadMagic = errors.New("trace: bad magic (not a Bingo trace file)")
 
 // Writer serialises records to an io.Writer in the binary trace format.
 // Close must be called to flush buffered data and back-patch nothing —
 // the count is written up front, so the caller supplies it to NewWriter.
 type Writer struct {
-	//conc:core-local a trace writer streams one core's records from one goroutine
 	w     *bufio.Writer
 	count uint64
 	wrote uint64
@@ -93,7 +89,6 @@ func (w *Writer) Close() error {
 
 // Reader decodes a binary trace stream and implements Source.
 type Reader struct {
-	//conc:core-local a trace source feeds exactly one core's frontend
 	r         *bufio.Reader
 	remaining uint64
 	err       error

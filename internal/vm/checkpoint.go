@@ -7,10 +7,6 @@ import (
 	"bingo/internal/checkpoint"
 )
 
-// maxRefillReplay bounds free-list reconstruction; a corrupt cursor must
-// not turn restore into an unbounded allocation loop.
-const maxRefillReplay = 1 << 20
-
 // SaveState implements checkpoint.Checkpointable. The first-touch map is
 // serialised sorted by virtual page (map order is nondeterministic, the
 // wire format must not be); the shuffled free list is captured as its
@@ -54,23 +50,22 @@ func (t *Translator) LoadState(r *checkpoint.Reader) error {
 	if len(vpns) != len(frames) {
 		return fmt.Errorf("vm: snapshot maps %d pages to %d frames", len(vpns), len(frames))
 	}
-	if refills < 0 || refills > maxRefillReplay {
-		return fmt.Errorf("vm: refill cursor %d out of range", refills)
-	}
-	for i := 0; i < refills; i++ {
-		t.refillFreeList()
-	}
-	// refillFreeList counted its own calls during the replay.
-	if t.refills != refills {
-		return fmt.Errorf("vm: refill replay diverged (%d, want %d)", t.refills, refills)
-	}
-	if nextFree < 0 || nextFree > len(t.freeList) {
-		return fmt.Errorf("vm: free-list cursor %d out of range [0,%d]", nextFree, len(t.freeList))
-	}
 	// Every allocation consumed one free-list slot and created one
 	// mapping entry, so the counts must agree.
 	if len(vpns) != nextFree {
 		return fmt.Errorf("vm: snapshot maps %d pages but consumed %d frames", len(vpns), nextFree)
+	}
+	// allocFrame refills lazily, so the cursor is fully determined by
+	// nextFree. Checking it before the replay keeps a corrupt cursor from
+	// turning restore into a huge allocation.
+	if want := t.refillsFor(nextFree); refills != want {
+		return fmt.Errorf("vm: refill cursor %d inconsistent with %d allocated frames (want %d)", refills, nextFree, want)
+	}
+	for i := 0; i < refills; i++ {
+		t.refillFreeList()
+	}
+	if nextFree > len(t.freeList) {
+		return fmt.Errorf("vm: free-list cursor %d out of range [0,%d]", nextFree, len(t.freeList))
 	}
 	allocated := make(map[uint64]bool, nextFree)
 	for _, f := range t.freeList[:nextFree] {
@@ -90,4 +85,15 @@ func (t *Translator) LoadState(r *checkpoint.Reader) error {
 	}
 	t.nextFree = nextFree
 	return nil
+}
+
+// refillsFor returns how many refills allocFrame performs to hand out n
+// frames. Chunks are full-sized except the one that ends at the
+// physical-memory boundary; past it, synthesised chunks are full again.
+func (t *Translator) refillsFor(n int) int {
+	chunks := func(k uint64) uint64 { return (k + freeListChunk - 1) / freeListChunk }
+	if u := uint64(n); u > t.frames {
+		return int(chunks(t.frames) + chunks(u-t.frames))
+	}
+	return int(chunks(uint64(n)))
 }
