@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -271,6 +274,68 @@ func TestTruncationDetected(t *testing.T) {
 	for _, n := range []int{0, 5, 11, 12, 13, len(data) / 2, len(data) - 1} {
 		if _, err := NewFileReader(bytes.NewReader(data[:n])); err == nil {
 			t.Errorf("truncation to %d bytes went undetected", n)
+		}
+	}
+}
+
+func TestDefaultLevelContainersLoad(t *testing.T) {
+	// Every container written before compressLevel was BestSpeed used
+	// gzip's default level. Re-compress a FileWriter container's stream
+	// at that level: it must decode to the same sections and payloads.
+	fw := NewFileWriter()
+	err := fw.Add("table", func(w *Writer) error {
+		w.Version(1)
+		vals := make([]uint64, 1<<14)
+		for i := range vals {
+			vals[i] = uint64(i*i) % 977 // compressible, but not trivially
+		}
+		w.U64s(vals)
+		w.String("warm state")
+		return w.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := fw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, c := range [][]byte{data, buildTestContainer(t)} {
+		zr, err := gzip.NewReader(bytes.NewReader(c[12:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.NewBuffer(append([]byte(nil), c[:12]...))
+		zw := gzip.NewWriter(old) // gzip.DefaultCompression
+		if _, err := zw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(old.Bytes(), c) {
+			t.Fatal("re-compressed container is byte-identical; the test exercises nothing")
+		}
+		want, err := NewFileReader(bytes.NewReader(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewFileReader(bytes.NewReader(old.Bytes()))
+		if err != nil {
+			t.Fatalf("default-level container rejected: %v", err)
+		}
+		if !slices.Equal(got.Sections(), want.Sections()) {
+			t.Fatalf("sections %v, want %v", got.Sections(), want.Sections())
+		}
+		for _, id := range want.Sections() {
+			if !bytes.Equal(got.byID[id], want.byID[id]) {
+				t.Errorf("section %q: payload differs", id)
+			}
 		}
 	}
 }

@@ -223,6 +223,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// compressLevel is the gzip level of every container. Warm simulator
+// state is mostly sparse tables, so BestSpeed costs little size and
+// saves most of the encode time (DESIGN.md §7). Readers do not depend on
+// the level: containers written at any level load.
+const compressLevel = gzip.BestSpeed
+
 // WriteTo renders the container: header, then the gzip-framed sections.
 func (fw *FileWriter) WriteTo(out io.Writer) (int64, error) {
 	cw := &countingWriter{w: out}
@@ -232,7 +238,10 @@ func (fw *FileWriter) WriteTo(out io.Writer) (int64, error) {
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return cw.n, err
 	}
-	gz := gzip.NewWriter(cw)
+	gz, err := gzip.NewWriterLevel(cw, compressLevel)
+	if err != nil {
+		return cw.n, err
+	}
 	var scratch [8]byte
 	put := func(v uint64, n int) error {
 		binary.LittleEndian.PutUint64(scratch[:], v)

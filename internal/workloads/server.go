@@ -213,29 +213,52 @@ func (g *streaming) generate() {
 // ---------------------------------------------------------------------------
 // Zeus — web server whose misses are temporally but not spatially
 // correlated (paper §VI-C singles it out as the workload where spatial
-// prefetchers gain least). A fixed pseudo-random pointer chain is
-// traversed repeatedly: the *sequence* of misses recurs perfectly (a
-// temporal prefetcher's dream) but consecutive chain nodes live in
-// unrelated regions, so region footprints are sparse and unstable.
+// prefetchers gain least). A fixed pseudo-random pointer chain over 64 MB
+// of blocks is traversed repeatedly: the *sequence* of misses recurs
+// perfectly (a temporal prefetcher's dream) but consecutive chain nodes
+// live in unrelated regions, so region footprints are sparse and
+// unstable. The chain is one cycle through every block, so the generator
+// keeps only its visit order and walks it with a wrapping index.
 type zeus struct {
 	filler
-	rng    *rand.Rand
-	vbase  uint64
-	chain  []uint32 // permutation: block i -> next block
-	cursor uint32
+	rng   *rand.Rand
+	vbase uint64
+	order []uint32 // chain visit order: a permutation of the block numbers
+	step  int      // index into order of the next node to visit
 }
 
 func newZeus(seed int64, vbase uint64) trace.Source {
-	const chainBlocks = 1024 * 1024 // 64 MB of chained blocks
-	g := &zeus{rng: newRNG(seed), vbase: vbase}
-	perm := rand.New(rand.NewSource(seed ^ 0xC4A1)).Perm(chainBlocks)
-	g.chain = make([]uint32, chainBlocks)
-	for i := 0; i < chainBlocks; i++ {
-		g.chain[perm[i]] = uint32(perm[(i+1)%chainBlocks])
-	}
-	g.cursor = uint32(perm[0])
+	const chainBlocks = 1024 * 1024
+	g := &zeus{rng: newRNG(seed), vbase: vbase, order: permUint32(seed^0xC4A1, chainBlocks)}
 	g.fill = g.generate
 	return g
+}
+
+// permUint32 returns rand.New(rand.NewSource(seed)).Perm(n) as uint32s.
+// It runs Perm's inside-out shuffle with (*rand.Rand).Int31n(i+1)
+// inlined over the source, so it makes the same draws and returns the
+// same permutation in half the memory of Perm's []int and under half its
+// time (the method calls per element dominate Perm).
+func permUint32(seed int64, n int) []uint32 {
+	src := rand.NewSource(seed)
+	m := make([]uint32, n)
+	for i := 0; i < n; i++ {
+		bound := int32(i + 1)
+		var j int32
+		if bound&(bound-1) == 0 {
+			j = int32(src.Int63()>>32) & (bound - 1)
+		} else {
+			limit := int32(1<<31 - 1 - (1<<31)%uint32(bound))
+			v := int32(src.Int63() >> 32)
+			for v > limit {
+				v = int32(src.Int63() >> 32)
+			}
+			j = v % bound
+		}
+		m[i] = m[j]
+		m[j] = uint32(i)
+	}
+	return m
 }
 
 func (g *zeus) generate() {
@@ -250,8 +273,10 @@ func (g *zeus) generate() {
 	}
 	// One step of the request-metadata pointer chain, reached from one
 	// of eight handler call sites.
-	g.emitDep(pcChase+uint64(g.rng.Intn(8)), g.vbase+uint64(g.cursor)<<mem.BlockShift, trace.Load, 55)
-	g.cursor = g.chain[g.cursor]
+	g.emitDep(pcChase+uint64(g.rng.Intn(8)), g.vbase+uint64(g.order[g.step])<<mem.BlockShift, trace.Load, 55)
+	if g.step++; g.step == len(g.order) {
+		g.step = 0
+	}
 }
 
 // ---------------------------------------------------------------------------

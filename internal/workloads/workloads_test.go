@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"math/rand"
 	"testing"
 
+	"bingo/internal/mem"
 	"bingo/internal/trace"
 )
 
@@ -181,21 +183,46 @@ func TestStoresExist(t *testing.T) {
 	}
 }
 
-func TestZeusChainIsPermutation(t *testing.T) {
-	// The Zeus chain must be a single cycle: temporally perfectly
-	// repeatable, spatially random.
-	g := newZeus(1, 1<<40).(*zeus)
-	seen := make([]bool, len(g.chain))
-	cur := g.cursor
-	for i := 0; i < len(g.chain); i++ {
-		if seen[cur] {
-			t.Fatalf("chain revisits block %d after %d steps", cur, i)
-		}
-		seen[cur] = true
-		cur = g.chain[cur]
+// refZeusChain is the Zeus chain as it was first built: rand.Perm over
+// the chain blocks, linked into a successor table. Walking it from the
+// returned cursor is the reference visit order.
+func refZeusChain(seed int64, n int) (chain []uint32, cursor uint32) {
+	perm := rand.New(rand.NewSource(seed ^ 0xC4A1)).Perm(n)
+	chain = make([]uint32, n)
+	for i := 0; i < n; i++ {
+		chain[perm[i]] = uint32(perm[(i+1)%n])
 	}
-	if cur != g.cursor {
-		t.Fatal("chain does not close into a single cycle")
+	return chain, uint32(perm[0])
+}
+
+func TestZeusChainIsPermutation(t *testing.T) {
+	// The Zeus chain must be a single cycle through every block
+	// (temporally perfectly repeatable, spatially random), and the
+	// generator's chase loads must follow the reference chain walk
+	// across the wrap.
+	const vbase = 1 << 40
+	for _, seed := range []int64{1, 1 + 7919, 1 + 3*7919, 601} {
+		g := newZeus(seed, vbase).(*zeus)
+		n := len(g.order)
+		seen := make([]bool, n)
+		for _, b := range g.order {
+			if int(b) >= n || seen[b] {
+				t.Fatalf("seed %d: visit order is not a permutation (block %d)", seed, b)
+			}
+			seen[b] = true
+		}
+		chain, cur := refZeusChain(seed, n)
+		for step := 0; step < 2*n+1; {
+			rec, _ := g.Next()
+			if !rec.Dep {
+				continue
+			}
+			if want := mem.Addr(vbase + uint64(cur)<<mem.BlockShift); rec.Addr != want {
+				t.Fatalf("seed %d step %d: chase load at %#x, want %#x", seed, step, rec.Addr, want)
+			}
+			cur = chain[cur]
+			step++
+		}
 	}
 }
 
